@@ -20,22 +20,16 @@ test:
 	$(GO) test ./...
 
 # The concurrency gate: race-enabled tests of every code path that runs on
-# or feeds the worker-pool engine, plus the intra-simulation shard runners
-# (internal/parallel barrier pool and the gpu/chiplet sharded loops'
-# randomized cross-shard stress cells, quantum windows included — see
-# docs/PARALLELISM.md). The harness run is restricted to its concurrency
-# tests (singleflight, pre-warm, progress) and the gpu/chiplet runs to the
-# sharded stress/abort cells because the rest of those suites is sequential
-# simulation that the race detector slows ~7x for no extra coverage;
-# `go test -race ./internal/harness/ ./internal/gpu/ ./internal/chiplet/`
-# still passes if you want the whole packages raced. AllocsPerRun is
+# or feeds the worker-pool engine. The harness run is restricted to its
+# concurrency tests (singleflight, pre-warm, progress) because the rest of
+# that suite is sequential simulation that the race detector slows ~7x for
+# no extra coverage; `go test -race ./internal/harness/` still passes if
+# you want the whole package raced. AllocsPerRun is
 # unreliable under -race, so the zero-allocation guard for the disabled
 # observability path runs as a separate non-race step (noalloc).
 race: noalloc
-	$(GO) test -race -short ./internal/engine/... ./internal/mrc/... ./internal/obs/... ./internal/parallel/... ./internal/server/... ./internal/uarch/...
+	$(GO) test -race -short ./internal/engine/... ./internal/mrc/... ./internal/obs/... ./internal/server/... ./internal/uarch/...
 	$(GO) test -race -short -run 'Singleflight|Prewarm|Parallel|ResultStore|Deprecated' ./internal/harness/
-	$(GO) test -race -short -run 'TestShardedRandomCrossTrafficStress|TestShardedMaxCyclesAborts' ./internal/chiplet/
-	$(GO) test -race -short -run 'TestGPUShardedRandomCrossTrafficStress|TestGPUShardedMaxCyclesAborts' ./internal/gpu/
 
 # The zero-cost-when-disabled guard: with a nil observer the simulator hot
 # path must not allocate — neither the observability hooks themselves nor a
@@ -80,7 +74,7 @@ bench-check:
 #      examples, internal packages, the other facade tests — must use the
 #      context-aware API.
 #   2. The deprecated harness setters (SetParallel, SetProgress,
-#      SetObserver, SetMCMShards) may be called only by
+#      SetObserver) may be called only by
 #      internal/harness/deprecated*.go; everything else must pass
 #      functional options to harness.New.
 #   3. Every switch dispatching over uarch variant values ("case uarch.X")
@@ -97,11 +91,11 @@ deprecated-gate:
 		echo "deprecated simulation entry points in use (switch to SimulateContext/SimulateSequenceContext/SimulateMCMContext):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rnE '\.Set(Parallel|Progress|Observer|MCMShards)\(' \
+	@bad=$$(grep -rnE '\.Set(Parallel|Progress|Observer)\(' \
 		cmd/ examples/ internal/ bench_test.go gpuscale_obs_test.go 2>/dev/null \
 		| grep -v 'internal/harness/deprecated'); \
 	if [ -n "$$bad" ]; then \
-		echo "deprecated harness setters in use (pass harness options to New: WithParallel, WithProgress, WithObserver, WithMCMShards):"; \
+		echo "deprecated harness setters in use (pass harness options to New: WithParallel, WithProgress, WithObserver):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rlE 'case uarch\.' cmd/ examples/ internal/ *.go 2>/dev/null \

@@ -85,7 +85,7 @@ func BenchmarkAnalyticPredict(b *testing.B) {
 			perOp := time.Since(t0) / reps
 
 			t0 = time.Now()
-			if _, _, err := server.EvalLocal(context.Background(), req, 0, 0); err != nil {
+			if _, _, err := server.EvalLocal(context.Background(), req, 0); err != nil {
 				b.Fatal(err)
 			}
 			cycle := time.Since(t0)

@@ -30,23 +30,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 )
 
 // benchFile mirrors the parts of BENCH_hotpath.json the check consumes.
 type benchFile struct {
-	// HostCores is the core count of the machine that produced the file.
-	// The sharded/quantum speedup columns only mean "speedup" when both
-	// the baseline machine and the current one have cores for the shard
-	// goroutines to run on; on a single-core host they measure barrier
-	// overhead and are skipped.
-	HostCores int `json:"host_cores"`
-	Results   map[string]struct {
+	Results map[string]struct {
 		SimMcyclesPerSec float64 `json:"sim_mcycles_per_sec"`
 	} `json:"results"`
-	Sharded map[string]float64 `json:"sharded_vs_sequential"`
-	Quantum map[string]float64 `json:"quantum_vs_sequential"`
 	// Analytic is the analytic_vs_cycle column: per benchmark, the wall
 	//-clock speedup of the analytic prediction tier over the cycle
 	// pipeline on the same request. Judged against an absolute floor
@@ -148,50 +139,6 @@ func main() {
 				status, name, got, *runs, base, (ratio-1)*100)
 		}
 	}
-	// Sharded/quantum speedup columns: judged like the cells (fresh ratio
-	// vs baseline ratio, same tolerance) — but only on multi-core hosts.
-	// With one core the shard goroutines serialise, the ratio measures
-	// barrier-protocol overhead rather than speedup, and judging it would
-	// make single-core CI runners trip on a number that cannot improve.
-	singleCore := baseline.HostCores == 1 || runtime.NumCPU() == 1
-	for _, col := range []struct {
-		name   string
-		suffix string
-		base   map[string]float64
-	}{
-		{"sharded_vs_sequential", "/sharded", baseline.Sharded},
-		{"quantum_vs_sequential", "/quantum", baseline.Quantum},
-	} {
-		if len(col.base) == 0 {
-			continue
-		}
-		if singleCore {
-			fmt.Printf("skip %-22s single-core host (baseline host_cores=%d, this host %d cores): column measures barrier overhead, not speedup\n",
-				col.name, baseline.HostCores, runtime.NumCPU())
-			continue
-		}
-		names := make([]string, 0, len(col.base))
-		for name := range col.base {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			want := col.base[name]
-			ev, sh := best[name+"/event"], best[name+col.suffix]
-			if want <= 0 || ev <= 0 || sh <= 0 {
-				fmt.Printf("skip %-22s %s: missing cells for a fresh ratio\n", col.name, name)
-				continue
-			}
-			got := sh / ev
-			status := "ok  "
-			if got < want*(1-*tolerance) {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%s %-22s %-10s %6.2fx vs %6.2fx baseline\n", status, col.name, name, got, want)
-		}
-	}
-
 	// Analytic tier: one fresh run of BenchmarkAnalyticPredict (each cell
 	// times the full cycle pipeline once, so best-of-N would be slow for
 	// no benefit — the measured ratios are ~10^4, judged against a 10^2

@@ -49,7 +49,6 @@ func main() {
 	store := fs.String("store", "gpuscaled-store", "disk cache directory ('' = in-memory only; restarts re-simulate)")
 	tenantQueue := fs.Int("tenant-queue", 64, "max admitted requests per tenant before 429")
 	linger := fs.Duration("batch-linger", 2*time.Millisecond, "simulation batch coalescing window")
-	shards := fs.Int("mcm-shards", 0, "shard count for MCM simulations (0 = sequential; results identical)")
 	memoBytes := fs.Int64("memo-bytes", 64<<20, "in-memory response cache budget in bytes (LRU eviction)")
 	confidence := fs.Float64("confidence-threshold", gpuscale.DefaultConfidenceThreshold,
 		"auto-tier requests below this analytic confidence escalate to the cycle simulator")
@@ -70,14 +69,13 @@ func main() {
 		Workers:             *parallel,
 		TenantCapacity:      *tenantQueue,
 		BatchLinger:         *linger,
-		MCMShards:           *shards,
 		MemoBytes:           *memoBytes,
 		ConfidenceThreshold: *confidence,
 	})
 	if err != nil {
 		log.Fatalf("gpuscaled: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -103,6 +101,17 @@ func main() {
 	srv.Close()
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. Without it a connection that never finishes its headers holds a
+// server goroutine and a file descriptor for as long as the peer likes.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps h in the daemon's http.Server: the serving daemon and
+// the -smoke self-test both use it, so both close stalled connections.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout}
+}
+
 // runSmoke exercises the daemon end to end inside one process: it binds an
 // ephemeral port, makes one auto-tier predict request (served analytically,
 // no simulation) and the same cheap cycle predict request twice, and checks
@@ -119,7 +128,7 @@ func runSmoke(parallel int, linger time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer("", srv.Handler(), readHeaderTimeout)
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()

@@ -15,9 +15,8 @@
 // same wire schema cmd/predict and the gpuscaled daemon speak), so every
 // run prints its canonical request hash: POSTing the equivalent JSON to a
 // daemon's /v1/simulate returns the same simulation from the same cache
-// key. Host-side execution knobs (-shards, -quantum, -tier, observability,
-// profiling) are not part of the canonical request and never change the
-// hash.
+// key. Host-side execution knobs (-tier, observability, profiling) are not
+// part of the canonical request and never change the hash.
 //
 // -tier analytic answers from the microsecond-scale analytical model
 // (docs/ANALYTIC.md) instead of simulating; -tier auto does the same but
@@ -48,8 +47,6 @@ func main() {
 		bench    = flag.String("bench", "", "benchmark abbreviation (see -list)")
 		sms      = flag.Int("sms", 16, "number of SMs (monolithic GPU)")
 		chiplets = flag.Int("chiplets", 0, "simulate an MCM GPU with this many chiplets instead")
-		shards   = flag.Int("shards", 0, "run the simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential)")
-		quantum  = flag.Int("quantum", 0, "relax the sharded barrier to at most this many cycles per safe window (bit-identical results; needs -shards > 1)")
 		weak     = flag.Bool("weak", false, "use the weak-scaling variant (input scales with size)")
 		uarchStr = flag.String("uarch", "", "microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; part of the request hash)")
 		tier     = flag.String("tier", "cycle", "latency tier: cycle simulates; analytic answers from the microsecond model; auto answers analytically unless confidence is low")
@@ -81,18 +78,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gpusim: -bench is required (try -list)")
 		os.Exit(2)
 	}
-	if *quantum > 0 && *shards <= 1 {
-		fmt.Fprintln(os.Stderr, "gpusim: -quantum has no effect without -shards > 1")
-	}
 
 	req := gpuscale.Request{
 		Op:       gpuscale.OpSimulate,
 		Workload: gpuscale.WorkloadSpec{Bench: *bench, Weak: *weak},
-		Options: gpuscale.RequestOptions{
-			WarmupInstructions: *warmup,
-			Shards:             *shards,
-			Quantum:            *quantum,
-		},
+		Options:  gpuscale.RequestOptions{WarmupInstructions: *warmup},
 	}
 	if *uarchStr != "" {
 		v, err := gpuscale.ParseUarch(*uarchStr)
@@ -115,7 +105,7 @@ func main() {
 		fatal(err)
 	}
 
-	// The tier is a host-side knob like -shards: it selects how this
+	// The tier is a host-side knob: it selects how this
 	// process produces the numbers and is not part of the canonical
 	// request (simulate requests have no wire tier — only predict does).
 	switch *tier {

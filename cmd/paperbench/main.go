@@ -25,11 +25,8 @@
 // fan their independent (workload, configuration) cells across -parallel
 // workers (default: all CPUs); results are bit-identical at any setting,
 // and live progress (jobs done, simulated cycles/sec, ETA) is reported on
-// stderr. -shards parallelises *within* each simulation instead (per-SM-
-// group shard runners on the monolithic simulator, per-chiplet-group on
-// the MCM one, see docs/PARALLELISM.md), and -quantum relaxes the sharded
-// barrier cadence — both bit-identical at any setting, and composable
-// with -parallel.
+// stderr. Each simulation itself runs on one goroutine: parallelism pays
+// across simulations, not within one.
 //
 // The shared observability flags (see cmd/internal/cliutil) attach one
 // recorder to every simulation the selected experiments run: -trace-out
@@ -55,8 +52,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (table1..table5, fig1..fig8, artifact, all)")
 	csvDir := flag.String("csv", "", "also export raw results as CSV files into this directory")
-	shards := flag.Int("shards", 0, "run each simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential)")
-	quantum := flag.Int("quantum", 0, "relax the sharded barrier to at most this many cycles per safe window (bit-identical results; needs -shards > 1)")
 	uarchStr := flag.String("uarch", "", "regenerate everything under this microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; CHANGES results)")
 	parallel := cliutil.Parallel(flag.CommandLine)
 	quiet := cliutil.Quiet(flag.CommandLine)
@@ -72,8 +67,6 @@ func main() {
 	observer := obsFlags.Observer()
 	hopts := []harness.Option{
 		harness.WithParallel(*parallel),
-		harness.WithShards(*shards),
-		harness.WithQuantum(*quantum),
 		harness.WithObserver(observer),
 	}
 	if *uarchStr != "" {

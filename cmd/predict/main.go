@@ -99,7 +99,7 @@ func runService(bench string, weak bool, chiplets int, srvURL, tier, uarchStr st
 	if srvURL != "" {
 		body, hash, err = postPredict(srvURL, req)
 	} else {
-		body, hash, err = server.EvalLocal(context.Background(), req, parallel, 0)
+		body, hash, err = server.EvalLocal(context.Background(), req, parallel)
 	}
 	if err != nil {
 		return err

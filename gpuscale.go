@@ -237,26 +237,13 @@ func WithOptions(opt SimOptions) SimOption {
 	return func(o *SimOptions) { *o = opt }
 }
 
-// WithShards runs the simulation on n parallel shard goroutines — the
-// simulated units (SMs on a monolithic GPU, chiplets on an MCM) split into
-// n contiguous groups synchronised at a deterministic cycle barrier —
-// returning statistics bit-identical to the sequential run (see
-// docs/PARALLELISM.md for the execution model and why determinism
-// survives). 0 or 1 means sequential; n above the unit count is clamped
-// to it.
+// WithShards does nothing: every simulation runs its one sequential event
+// loop. Intra-simulation sharding was removed because it never ran faster
+// than that loop; the option remains only so existing callers compile.
+//
+// Deprecated: Drop the option; it has no effect.
 func WithShards(n int) SimOption {
-	return func(o *SimOptions) { o.Shards = n }
-}
-
-// WithQuantum relaxes the sharded run's per-cycle barrier: shards
-// deterministically compute a safe window — the minimum number of cycles
-// until any of their warps can next touch the shared memory path — and run
-// up to q cycles inside it without synchronising, still bit-identical to
-// the sequential run (docs/PARALLELISM.md explains the safety argument).
-// 0 disables relaxation (barrier every cycle); it has no effect without
-// WithShards(n>1). Large values are clamped to an internal maximum.
-func WithQuantum(q int) SimOption {
-	return func(o *SimOptions) { o.Quantum = q }
+	return func(*SimOptions) {}
 }
 
 // WithUarch selects the microarchitecture variant for this run, overriding
@@ -292,9 +279,8 @@ func SimulateSequenceContext(ctx context.Context, cfg SystemConfig, kernels []Wo
 }
 
 // SimulateMCMContext is SimulateContext on a multi-chiplet GPU. MCM runs
-// honour WithMaxCycles, WithObserver, WithSampleInterval, WithShards and
-// WithQuantum; the remaining options do not apply to the chiplet model and
-// are ignored.
+// honour WithMaxCycles, WithObserver, WithSampleInterval and WithUarch; the
+// remaining options do not apply to the chiplet model and are ignored.
 func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts ...SimOption) (MCMStats, error) {
 	var o SimOptions
 	for _, fn := range opts {
@@ -304,8 +290,6 @@ func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts
 		MaxCycles:   o.MaxCycles,
 		Recorder:    o.Recorder,
 		SampleEvery: o.SampleEvery,
-		Shards:      o.Shards,
-		Quantum:     o.Quantum,
 		Uarch:       o.Uarch,
 	})
 	if err != nil {

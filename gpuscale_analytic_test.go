@@ -38,7 +38,7 @@ const fmemErrFloor = 0.05
 func analyticFamily(t *testing.T, label string) string {
 	parts := strings.Split(label, "/")
 	prefix := parts[0]
-	if prefix == "strong" || prefix == "gpu-sharded" || prefix == "horizon" && !strings.Contains(parts[2], "c-") {
+	if prefix == "strong" || prefix == "horizon" && !strings.Contains(parts[2], "c-") {
 		if prefix == "horizon" {
 			return "horizon"
 		}
@@ -59,7 +59,7 @@ func analyticEstimateFor(t *testing.T, label string) gpuscale.AnalyticEstimate {
 	parts := strings.Split(label, "/")
 	base := gpuscale.Baseline128()
 	switch parts[0] {
-	case "strong", "gpu-sharded", "horizon":
+	case "strong", "horizon":
 		if len(parts) == 3 && strings.Contains(parts[2], "c-dram") {
 			// horizon/bfs/2c-dram15: a chiplet config with modified DRAM.
 			var chips, dram int
@@ -97,9 +97,9 @@ func analyticEstimateFor(t *testing.T, label string) gpuscale.AnalyticEstimate {
 			t.Fatalf("%s: %v", label, err)
 		}
 		return est
-	case "chiplet", "chiplet-sharded":
+	case "chiplet":
 		var chips int
-		if _, err := fmt.Sscanf(strings.SplitN(parts[2], "-", 2)[0], "%dc", &chips); err != nil {
+		if _, err := fmt.Sscanf(parts[2], "%dc", &chips); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		cfg, err := gpuscale.ScaleChiplets(gpuscale.Target16Chiplet(), chips)

@@ -31,13 +31,11 @@ type goldenEntry struct {
 
 // goldenCells simulates the full golden grid: all 21 strong-scaling
 // benchmarks on the 8- and 16-SM scale models (the two configurations every
-// prediction in the paper is derived from), three sharded monolithic cells
-// (one with quantum-relaxed barriers) byte-identical to their sequential
-// twins, the 4- and 2-chiplet MCM configurations (sequential and sharded),
-// two weak-scaling MCM cells, three horizon-boundary cells with
-// long-latency DRAM, six microarchitecture-variant cells (two-level,
-// sectored and deflect — monolithic and MCM, each checked against a
-// sharded twin in-test), and one multi-kernel sequence. The strong cells
+// prediction in the paper is derived from), the 4- and 2-chiplet MCM
+// configurations, two weak-scaling MCM cells, three horizon-boundary cells
+// with long-latency DRAM, six microarchitecture-variant cells (two-level,
+// sectored and deflect — monolithic and MCM), and one multi-kernel
+// sequence. The strong cells
 // are fanned across the worker pool; results are bit-identical to a
 // sequential run.
 func goldenCells(t *testing.T) []goldenEntry {
@@ -88,71 +86,6 @@ func goldenCells(t *testing.T) []goldenEntry {
 			}
 			cells = append(cells, goldenEntry{Label: fmt.Sprintf("chiplet/%s/%dc", name, chips), MCM: &st})
 		}
-	}
-
-	// Sharded MCM cells: the same chiplet configurations driven through the
-	// parallel shard loop (WithShards, docs/PARALLELISM.md). The sharded
-	// loop's contract is bit-identity with the sequential one, so these
-	// snapshots must equal their chiplet/* counterparts above — pinning them
-	// separately makes a determinism regression in either loop show up as a
-	// golden diff, not just as a test-to-test mismatch. Additive cells: they
-	// extend the snapshot, never replace existing entries.
-	for _, sc := range []struct {
-		bench  string
-		chips  int
-		shards int
-	}{{"bfs", 4, 4}, {"dct", 4, 2}, {"pf", 2, 2}} {
-		mcmCfg, err := gpuscale.ScaleChiplets(gpuscale.Target16Chiplet(), sc.chips)
-		if err != nil {
-			t.Fatalf("golden sharded config: %v", err)
-		}
-		bench, err := gpuscale.BenchmarkByName(sc.bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := gpuscale.SimulateMCMContext(ctx, mcmCfg, bench.Workload, gpuscale.WithShards(sc.shards))
-		if err != nil {
-			t.Fatalf("golden sharded cell %s/%dc-s%d: %v", sc.bench, sc.chips, sc.shards, err)
-		}
-		cells = append(cells, goldenEntry{
-			Label: fmt.Sprintf("chiplet-sharded/%s/%dc-s%d", sc.bench, sc.chips, sc.shards), MCM: &st})
-	}
-
-	// Sharded monolithic cells: strong-scaling cells from the grid above
-	// re-run through the per-SM-group shard loop (WithShards), one with
-	// quantum-relaxed barriers (WithQuantum). Bit-identity with the
-	// sequential loop is the sharded loop's contract, so each snapshot here
-	// must be byte-identical to its strong/* twin — pinning them separately
-	// makes a determinism regression in either loop show up as a golden
-	// diff. Additive cells: they extend the snapshot, never replace
-	// existing entries.
-	for _, gc := range []struct {
-		bench   string
-		sms     int
-		shards  int
-		quantum int
-	}{{"bfs", 16, 4, 0}, {"dct", 8, 2, 0}, {"pf", 16, 3, 64}} {
-		bench, err := gpuscale.BenchmarkByName(gc.bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := []gpuscale.SimOption{gpuscale.WithShards(gc.shards)}
-		label := fmt.Sprintf("gpu-sharded/%s/%dsm-s%d", gc.bench, gc.sms, gc.shards)
-		if gc.quantum > 0 {
-			opts = append(opts, gpuscale.WithQuantum(gc.quantum))
-			label = fmt.Sprintf("%s-q%d", label, gc.quantum)
-		}
-		st, err := gpuscale.SimulateContext(ctx, gpuscale.MustScale(base, gc.sms), bench.Workload, opts...)
-		if err != nil {
-			t.Fatalf("golden gpu-sharded cell %s: %v", label, err)
-		}
-		twin := fmt.Sprintf("strong/%s/%dsm", gc.bench, gc.sms)
-		for _, c := range cells {
-			if c.Label == twin && *c.Sim != st {
-				t.Errorf("%s diverged from its sequential twin %s\n got %+v\nwant %+v", label, twin, st, *c.Sim)
-			}
-		}
-		cells = append(cells, goldenEntry{Label: label, Sim: &st})
 	}
 
 	// Weak-scaling MCM cells: two Table IV families from the paper's chiplet
@@ -218,10 +151,7 @@ func goldenCells(t *testing.T) []goldenEntry {
 	// Microarchitecture-variant cells: one monolithic 8-SM cell and one
 	// 2-chiplet MCM cell per non-default variant axis (two-level warp
 	// scheduling, sectored L1 fills, bufferless-deflection routing — see
-	// docs/UARCH.md). Each monolithic cell is also re-run through the shard
-	// loop and asserted byte-identical in-test, extending the sharded
-	// determinism contract to every variant without enlarging the snapshot.
-	// Additive cells: they extend the snapshot, never replace existing
+	// docs/UARCH.md). Additive cells: they extend the snapshot, never replace existing
 	// entries.
 	for _, uc := range []string{"two-level", "sectored", "deflect"} {
 		v, err := gpuscale.ParseUarch(uc)
@@ -237,13 +167,6 @@ func goldenCells(t *testing.T) []goldenEntry {
 		if err != nil {
 			t.Fatalf("golden uarch cell %s: %v", uc, err)
 		}
-		sh, err := gpuscale.SimulateContext(ctx, vcfg, bench.Workload, gpuscale.WithUarch(v), gpuscale.WithShards(2))
-		if err != nil {
-			t.Fatalf("golden uarch sharded twin %s: %v", uc, err)
-		}
-		if sh != st {
-			t.Errorf("uarch/%s/dct/8sm sharded twin diverged\n got %+v\nwant %+v", uc, sh, st)
-		}
 		cells = append(cells, goldenEntry{Label: fmt.Sprintf("uarch/%s/dct/8sm", uc), Sim: &st})
 
 		mcmCfg, err := gpuscale.ScaleChiplets(gpuscale.Target16Chiplet(), 2)
@@ -257,13 +180,6 @@ func goldenCells(t *testing.T) []goldenEntry {
 		mst, err := gpuscale.SimulateMCMContext(ctx, mcmCfg, mbench.Workload, gpuscale.WithUarch(v))
 		if err != nil {
 			t.Fatalf("golden uarch chiplet cell %s: %v", uc, err)
-		}
-		msh, err := gpuscale.SimulateMCMContext(ctx, mcmCfg, mbench.Workload, gpuscale.WithUarch(v), gpuscale.WithShards(2))
-		if err != nil {
-			t.Fatalf("golden uarch chiplet sharded twin %s: %v", uc, err)
-		}
-		if msh != mst {
-			t.Errorf("uarch-chiplet/%s/bfs/2c sharded twin diverged\n got %+v\nwant %+v", uc, msh, mst)
 		}
 		cells = append(cells, goldenEntry{Label: fmt.Sprintf("uarch-chiplet/%s/bfs/2c", uc), MCM: &mst})
 	}
@@ -295,7 +211,7 @@ func goldenCells(t *testing.T) []goldenEntry {
 // without -update: identical simulated results, faster host execution.
 func TestGoldenStats(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden grid simulates 66 cells; skipped in -short mode")
+		t.Skip("golden grid simulates 60 cells; skipped in -short mode")
 	}
 	cells := goldenCells(t)
 

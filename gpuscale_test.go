@@ -79,14 +79,6 @@ func TestFacadeSimulateMCM(t *testing.T) {
 	if st.IPC <= 0 {
 		t.Fatalf("degenerate MCM stats: %+v", st)
 	}
-	sharded, err := gpuscale.SimulateMCMContext(context.Background(), cfg, smallLinear("facade-mcm"),
-		gpuscale.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded != st {
-		t.Errorf("WithShards(2) diverged from sequential\nsharded    %+v\nsequential %+v", sharded, st)
-	}
 }
 
 func TestFacadeCurveAndPrediction(t *testing.T) {

@@ -114,15 +114,6 @@ type Simulator struct {
 	arena       *trace.Arena
 	aw          trace.ArenaWorkload // non-nil if the workload is arena-managed
 
-	// Sharded run-loop state (Options.Shards > 1): one runner per
-	// contiguous chiplet group, each with a private timing kernel and
-	// arena; nil in sequential mode. See sharded.go and docs/PARALLELISM.md.
-	shards      []*shard
-	shardOfChip []*shard // chiplet → owning shard
-	quantum     int      // barrier-relaxation window cap; 0 = barrier every cycle
-	winBase     int64    // current quantum window, for the shards' phaseWindow
-	winLimit    int64
-
 	// Observability handles; all nil when Options.Recorder is nil.
 	stream      *obs.Stream
 	scope       *obs.Scope
@@ -144,20 +135,6 @@ type Options struct {
 	// by contract; only host time differs. Kept for equivalence testing and
 	// benchmark baselines.
 	UseLegacyLoop bool
-	// Shards splits the package into that many contiguous chiplet groups,
-	// each driven by its own goroutine over a private timing kernel with a
-	// cycle barrier between them (docs/PARALLELISM.md). Results are
-	// bit-identical to the sequential event loop by contract; only host
-	// time differs. 0 or 1 selects the sequential loop; values above
-	// NumChiplets are clamped to it. Incompatible with UseLegacyLoop.
-	Shards int
-	// Quantum, when positive and Shards > 1, relaxes the per-cycle barrier:
-	// each barrier the shards deterministically compute the earliest cycle
-	// any warp could issue a memory instruction or retire, and run
-	// barrier-free up to that bound (capped at Quantum cycles per window).
-	// Results remain bit-identical — the quantum changes only host-side
-	// synchronisation frequency. Ignored unless Shards > 1; capped at 4096.
-	Quantum int
 	// Uarch selects the microarchitecture variant for every chiplet,
 	// overriding a zero cfg.Chiplet.Uarch. Setting both to different values
 	// is an error. The zero value defers entirely to the configuration.
@@ -185,19 +162,6 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 	if k.WarpsPerCTA > cfg.Chiplet.WarpsPerSM {
 		return nil, fmt.Errorf("chiplet: workload %q CTA has %d warps but SMs hold only %d",
 			w.Name(), k.WarpsPerCTA, cfg.Chiplet.WarpsPerSM)
-	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("chiplet: Shards must be >= 0, got %d", opt.Shards)
-	}
-	if opt.Quantum < 0 {
-		return nil, fmt.Errorf("chiplet: Quantum must be >= 0, got %d", opt.Quantum)
-	}
-	nShards := opt.Shards
-	if nShards > cfg.NumChiplets {
-		nShards = cfg.NumChiplets // more shards than chiplets cannot help
-	}
-	if nShards > 1 && opt.UseLegacyLoop {
-		return nil, fmt.Errorf("chiplet: Shards > 1 is incompatible with UseLegacyLoop")
 	}
 	s := &Simulator{
 		cfg:      cfg,
@@ -277,7 +241,7 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 	s.all = make([]smRef, 0, total)
 	for c, cs := range s.chips {
 		for i, m := range cs.sms {
-			s.all = append(s.all, smRef{m: m, p: &port{sim: s, chip: c, smID: i, g: c*ch.NumSMs + i}, f: cs.mshrs[i]})
+			s.all = append(s.all, smRef{m: m, p: &port{sim: s, chip: c, smID: i}, f: cs.mshrs[i]})
 		}
 	}
 	s.legacyKinds = make([]sm.TickKind, total)
@@ -285,22 +249,12 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 	if aw, ok := trace.AsArenaWorkload(w); ok {
 		s.aw = aw
 	}
-	if nShards > 1 {
-		// Sharded mode: each shard owns a private kernel and arena; the
-		// shard is its kernel's Driver and its SMs' recycler (sharded.go).
-		s.quantum = opt.Quantum
-		if s.quantum > maxQuantum {
-			s.quantum = maxQuantum
-		}
-		s.buildShards(nShards)
-	} else {
-		s.tk = timing.MustNew(timing.Config{Units: total}, s)
-		// Workload arena: recycle programs and generators across CTA
-		// launches for arena-managed workloads (see gpu.NewSequence).
-		s.arena = trace.NewArena(total * ch.WarpsPerSM)
-		for _, r := range s.all {
-			r.m.SetRecycler(s)
-		}
+	s.tk = timing.MustNew(timing.Config{Units: total}, s)
+	// Workload arena: recycle programs and generators across CTA
+	// launches for arena-managed workloads (see gpu.NewSequence).
+	s.arena = trace.NewArena(total * ch.WarpsPerSM)
+	for _, r := range s.all {
+		r.m.SetRecycler(s)
 	}
 	s.ctaDirty = true
 	if rec := opt.Recorder; rec.Enabled() {
@@ -324,8 +278,6 @@ type port struct {
 	sim  *Simulator
 	chip int
 	smID int
-	g    int    // global SM id (chip-major)
-	sh   *shard // owning shard runner; nil in sequential/legacy mode
 }
 
 // Access implements sm.MemPort for the MCM hierarchy: L1 → (first-touch
@@ -362,15 +314,6 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 		}
 	}
 	page := in.Addr >> s.pageBits
-	// Everything from here on touches state shared across SMs (the page
-	// table, package counters, the owner chiplet's link/NoC/LLC/DRAM). A
-	// sharded run must not resolve it inside the parallel tick phase:
-	// record the access and return a provisional completion instead; the
-	// coordinator resolves it deterministically at the cycle barrier and
-	// repairs the warp's wake-up before the next cycle's ticks.
-	if p.sh != nil {
-		return p.sh.deferAccess(p, line, key, page, arrival, now, load, bypass, full)
-	}
 	// First-touch page allocation decides the owning chiplet.
 	owner, seen := s.pages[page]
 	if !seen {
@@ -430,14 +373,8 @@ func (s *Simulator) fillCTAs() {
 			}
 			progs := s.progBuf[:s.warpsPer]
 			if s.aw != nil {
-				// Sharded runs recycle through the target SM's shard arena
-				// (programs retire inside that shard's tick phase).
-				arena := s.arena
-				if s.shards != nil {
-					arena = s.shardOfChip[c].arena
-				}
 				for wpi := range progs {
-					progs[wpi] = s.aw.NewProgramIn(arena, s.nextCTA, wpi)
+					progs[wpi] = s.aw.NewProgramIn(s.arena, s.nextCTA, wpi)
 				}
 			} else {
 				for wpi := range progs {
@@ -448,13 +385,7 @@ func (s *Simulator) fillCTAs() {
 				// Settle the SM's idle interval before the launch changes
 				// its classification, then schedule it to act this cycle;
 				// the kernel drops any stale far wake-up itself.
-				g := c*s.cfg.Chiplet.NumSMs + i
-				if s.shards != nil {
-					sh := s.shardOfChip[c]
-					sh.tk.ScheduleNow(g - sh.firstG)
-				} else {
-					s.tk.ScheduleNow(g)
-				}
+				s.tk.ScheduleNow(c*s.cfg.Chiplet.NumSMs + i)
 			}
 			m.LaunchCTA(progs)
 			s.liveTotal += s.warpsPer
@@ -486,9 +417,6 @@ func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
 	if s.legacy {
 		return s.runLegacy(ctx)
 	}
-	if s.shards != nil {
-		return s.runSharded(ctx)
-	}
 	return s.runEvent(ctx)
 }
 
@@ -496,12 +424,6 @@ func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
 // legacy loop, whose accrual already is eager.
 func (s *Simulator) flushAllAccruals() {
 	if s.legacy {
-		return
-	}
-	if s.shards != nil {
-		for _, sh := range s.shards {
-			sh.tk.FlushAll()
-		}
 		return
 	}
 	s.tk.FlushAll()

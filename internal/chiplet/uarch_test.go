@@ -47,39 +47,6 @@ func TestEventLoopMatchesLegacyUarch(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequentialUarch extends the sharded determinism contract
-// to every variant: per-chiplet shard parallelism (with and without quantum
-// windows) must reproduce the sequential run's Stats bit for bit.
-func TestShardedMatchesSequentialUarch(t *testing.T) {
-	for _, uc := range chipletUarchVariants {
-		t.Run(uc.name, func(t *testing.T) {
-			cfg := smallMCM(4, 4)
-			cfg.Chiplet.Uarch = uc.v
-			run := func(opt Options) Stats {
-				t.Helper()
-				s, err := New(cfg, streamWorkload(48, 2, 30), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
-			seq := run(Options{})
-			for _, shards := range []int{2, 4} {
-				for _, quantum := range []int{0, 64} {
-					got := run(Options{Shards: shards, Quantum: quantum})
-					if got != seq {
-						t.Errorf("shards=%d quantum=%d diverges\nsharded    %+v\nsequential %+v", shards, quantum, got, seq)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestChipletOptionsUarch pins the Options.Uarch override: equal to setting
 // cfg.Chiplet.Uarch, rejected when it conflicts with one.
 func TestChipletOptionsUarch(t *testing.T) {

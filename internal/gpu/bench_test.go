@@ -77,16 +77,10 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	if path := os.Getenv("BENCH_HOTPATH_JSON"); path != "" && len(hotPathResults) > 0 {
 		type out struct {
-			// HostCores contextualises the sharded_vs_sequential column:
-			// the sharded loop can only beat the sequential one when the
-			// host has cores for the shard goroutines to run on. On a
-			// single-core host the column measures barrier overhead, not
-			// speedup.
+			// HostCores records the machine the numbers come from.
 			HostCores  int                      `json:"host_cores"`
 			Results    map[string]hotPathResult `json:"results"`
 			Speedup    map[string]float64       `json:"event_vs_legacy_speedup"`
-			Sharded    map[string]float64       `json:"sharded_vs_sequential"`
-			Quantum    map[string]float64       `json:"quantum_vs_sequential"`
 			VsPR3      map[string]float64       `json:"speedup_vs_pr3"`
 			VsPR4      map[string]float64       `json:"speedup_vs_pr4"`
 			VsPrePR    map[string]float64       `json:"speedup_vs_pre_overhaul"`
@@ -98,8 +92,6 @@ func TestMain(m *testing.M) {
 			HostCores:  runtime.NumCPU(),
 			Results:    hotPathResults,
 			Speedup:    map[string]float64{},
-			Sharded:    map[string]float64{},
-			Quantum:    map[string]float64{},
 			VsPR3:      map[string]float64{},
 			VsPR4:      map[string]float64{},
 			VsPrePR:    map[string]float64{},
@@ -113,12 +105,6 @@ func TestMain(m *testing.M) {
 				base := name[:len(name)-len(suffix)]
 				if lg, ok := hotPathResults[base+"/legacy"]; ok && lg.SimMcyclesPerSec > 0 {
 					o.Speedup[base] = ev.SimMcyclesPerSec / lg.SimMcyclesPerSec
-				}
-				if sh, ok := hotPathResults[base+"/sharded"]; ok && ev.SimMcyclesPerSec > 0 {
-					o.Sharded[base] = sh.SimMcyclesPerSec / ev.SimMcyclesPerSec
-				}
-				if q, ok := hotPathResults[base+"/quantum"]; ok && ev.SimMcyclesPerSec > 0 {
-					o.Quantum[base] = q.SimMcyclesPerSec / ev.SimMcyclesPerSec
 				}
 				if pr3, ok := pr3Baseline[base]; ok && pr3 > 0 {
 					o.VsPR3[base] = ev.SimMcyclesPerSec / pr3
@@ -160,21 +146,12 @@ func BenchmarkSimulatorHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := config.MustScale(config.Baseline128(), c.sms)
-		// Besides the event/legacy pair, each monolithic cell runs "sharded"
-		// (4 SM-group shard goroutines, barrier every cycle) and "quantum"
-		// (the same shards with quantum-relaxed barriers) so the
-		// sharded_vs_sequential and quantum_vs_sequential columns track the
-		// parallel loops' throughput ratios. Both are above 1 only when
-		// host_cores allows real parallelism; on a single-core host they
-		// measure barrier-protocol overhead instead.
 		for _, loop := range []struct {
 			name string
 			opt  Options
 		}{
 			{"event", Options{}},
 			{"legacy", Options{UseLegacyLoop: true}},
-			{"sharded", Options{Shards: 4}},
-			{"quantum", Options{Shards: 4, Quantum: 256}},
 		} {
 			b.Run(c.name+"/"+loop.name, func(b *testing.B) {
 				var cycles int64
@@ -233,12 +210,7 @@ func BenchmarkSimulatorHotPath(b *testing.B) {
 	// MCM cells: the same harness over the chiplet simulator, on the
 	// 4-chiplet scale model of the paper's 16-chiplet target plus the full
 	// 16-chiplet target itself. bfs is the memory-stalled case where the
-	// due-bitset fast path pays off; dct adds a reuse-heavy contrast. Each
-	// cell also runs "sharded" — one shard goroutine per chiplet — so
-	// BENCH_hotpath.json's sharded_vs_sequential column tracks the parallel
-	// loop's throughput ratio (above 1 only when host_cores allows real
-	// parallelism; on a single-core host the barrier protocol is pure
-	// overhead and the ratio measures its cost).
+	// due-bitset fast path pays off; dct adds a reuse-heavy contrast.
 	mcmCases := []struct {
 		name  string
 		chips int
@@ -260,8 +232,6 @@ func BenchmarkSimulatorHotPath(b *testing.B) {
 		}{
 			{"event", chiplet.Options{}},
 			{"legacy", chiplet.Options{UseLegacyLoop: true}},
-			{"sharded", chiplet.Options{Shards: c.chips}},
-			{"quantum", chiplet.Options{Shards: c.chips, Quantum: 256}},
 		} {
 			b.Run(c.name+"/"+loop.name, func(b *testing.B) {
 				var cycles int64

@@ -77,22 +77,6 @@ type Options struct {
 	// cycles, for this run. Zero or negative uses the recorder's default.
 	// Ignored when Recorder is nil.
 	SampleEvery int64
-	// Shards enables sharded execution: the simulated package is split into
-	// that many groups — contiguous SM ranges on the monolithic simulator,
-	// chiplet groups on MCM (chiplet.Options.Shards) — each driven by its
-	// own goroutine with a deterministic cycle barrier between them
-	// (docs/PARALLELISM.md). Results are bit-identical to sequential
-	// execution at every shard count. 0 or 1 means sequential; values above
-	// the SM count are clamped; Shards > 1 is incompatible with
-	// UseLegacyLoop.
-	Shards int
-	// Quantum, when positive and Shards > 1, relaxes the per-cycle barrier:
-	// each barrier the shards deterministically compute the earliest cycle
-	// any warp could issue a memory instruction or retire, and run
-	// barrier-free up to that bound (capped at Quantum cycles per window).
-	// Results remain bit-identical — the quantum changes only host-side
-	// synchronisation frequency. Ignored unless Shards > 1; capped at 4096.
-	Quantum int
 	// Uarch selects the microarchitecture variant, overriding a zero
 	// cfg.Uarch. Setting both to different values is an error: the
 	// configuration's identity must be unambiguous. The zero value defers
@@ -204,17 +188,6 @@ type Simulator struct {
 	arena       *trace.Arena
 	kernelAW    []trace.ArenaWorkload // per kernel: non-nil if arena-managed
 
-	// Sharded execution state (sharded.go); nil/zero when Options.Shards
-	// <= 1. shardFinish gates where FinishCycle runs: serially at the
-	// barrier while the warm-up check can still fire, inside the parallel
-	// tick phase once it has settled.
-	shards      []*gpuShard
-	shardOfSM   []*gpuShard
-	shardFinish bool
-	quantum     int
-	winBase     int64 // current quantum window, for the shards' phaseWindow
-	winLimit    int64
-
 	// Observability handles; all nil when Options.Recorder is nil, so
 	// every hook below degrades to one predictable nil-check branch.
 	stream      *obs.Stream
@@ -246,19 +219,6 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	}
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("gpu: no kernels")
-	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("gpu: Shards must be >= 0, got %d", opt.Shards)
-	}
-	if opt.Quantum < 0 {
-		return nil, fmt.Errorf("gpu: Quantum must be >= 0, got %d", opt.Quantum)
-	}
-	nShards := opt.Shards
-	if nShards > cfg.NumSMs {
-		nShards = cfg.NumSMs
-	}
-	if nShards > 1 && opt.UseLegacyLoop {
-		return nil, fmt.Errorf("gpu: Shards > 1 is incompatible with UseLegacyLoop")
 	}
 	maxWarpsPerCTA := 0
 	for _, w := range kernels {
@@ -369,14 +329,6 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	for _, m := range s.sms {
 		m.SetRecycler(s)
 	}
-	if nShards > 1 {
-		s.quantum = opt.Quantum
-		if s.quantum > maxQuantum {
-			s.quantum = maxQuantum
-		}
-		s.shardFinish = opt.WarmupInstructions == 0
-		s.buildShards(nShards)
-	}
 	s.ctaDirty = true
 	if rec := opt.Recorder; rec.Enabled() {
 		label := cfg.Name + "/" + kernels[0].Name()
@@ -398,13 +350,10 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	return s, nil
 }
 
-// port adapts the simulator's memory hierarchy to one SM's MemPort. Under
-// sharded execution sh is the SM's shard and Access defers everything past
-// the SM-private L1/MSHR to the barrier replay.
+// port adapts the simulator's memory hierarchy to one SM's MemPort.
 type port struct {
 	sim  *Simulator
 	smID int
-	sh   *gpuShard
 }
 
 // Access implements sm.MemPort: L1 (unless bypassed) → MSHR merge → NoC →
@@ -419,17 +368,8 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 	if !bypass {
 		if s.l1s[p.smID].Access(in.Addr) {
 			if in.Kind == trace.Load {
-				// Sharded phase A runs on a worker goroutine: count into
-				// shard-local counters, merged at the barrier. The histogram
-				// observation is atomic (order of float observations is the
-				// one documented exemption from bit-identity).
-				if p.sh != nil {
-					p.sh.loads++
-					p.sh.loadLat += uint64(s.cfg.L1HitLatency)
-				} else {
-					s.loads++
-					s.loadLat += uint64(s.cfg.L1HitLatency)
-				}
+				s.loads++
+				s.loadLat += uint64(s.cfg.L1HitLatency)
 				s.loadHist.Observe(float64(s.cfg.L1HitLatency))
 			}
 			return now + int64(s.cfg.L1HitLatency)
@@ -453,16 +393,7 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 		if nc, ok := mshr.NextCompletion(); ok && nc > arrival {
 			arrival = nc
 		}
-		if p.sh != nil {
-			p.sh.mshrStall++
-		} else {
-			s.mshrStall++
-		}
-	}
-	if p.sh != nil {
-		// Everything past the SM-private L1/MSHR touches the shared
-		// crossbar/LLC/DRAM path: record it for the barrier's serial replay.
-		return p.sh.deferAccess(p, line, key, arrival, now, load, bypass, full)
+		s.mshrStall++
 	}
 	nSlices := uint64(len(s.llc))
 	slice := int(line % nSlices)
@@ -517,15 +448,8 @@ func (s *Simulator) fillCTAs() {
 			}
 			progs := s.progBuf[:s.warpsPer]
 			if aw != nil {
-				// Sharded runs draw from the target SM's shard arena — the
-				// arena its retiring programs are released into (fillCTAs is
-				// serial, so touching it here is race-free).
-				arena := s.arena
-				if s.shardOfSM != nil {
-					arena = s.shardOfSM[i].arena
-				}
 				for wpi := range progs {
-					progs[wpi] = aw.NewProgramIn(arena, s.nextCTA, wpi)
+					progs[wpi] = aw.NewProgramIn(s.arena, s.nextCTA, wpi)
 				}
 			} else {
 				for wpi := range progs {
@@ -538,11 +462,7 @@ func (s *Simulator) fillCTAs() {
 				// classification (Idle for an empty SM) before residency
 				// changes it, and drops any pending far wake-up so the SM
 				// lives in exactly one wake structure.
-				if sh := s.shardOfSM; sh != nil {
-					sh[i].tk.ScheduleNow(i - sh[i].firstSM)
-				} else {
-					s.tk.ScheduleNow(i)
-				}
+				s.tk.ScheduleNow(i)
 			}
 			m.LaunchCTA(progs)
 			s.liveTotal += s.warpsPer
@@ -593,9 +513,6 @@ func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
 	if s.opt.UseLegacyLoop {
 		return s.runLegacy(ctx)
 	}
-	if s.shards != nil {
-		return s.runSharded(ctx)
-	}
 	return s.runEvent(ctx)
 }
 
@@ -605,12 +522,6 @@ func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
 // accrual already is eager.
 func (s *Simulator) flushAllAccruals() {
 	if s.opt.UseLegacyLoop {
-		return
-	}
-	if s.shards != nil {
-		for _, sh := range s.shards {
-			sh.tk.FlushAll()
-		}
 		return
 	}
 	s.tk.FlushAll()
@@ -832,14 +743,7 @@ func (s *Simulator) resetStats() {
 	// precedes the reset. SMs ticked this cycle already sit at now+1 —
 	// pulling them back down would double-count the triggering cycle, so
 	// the kernel only raises floors, never lowers them.
-	if s.shards != nil {
-		for _, sh := range s.shards {
-			sh.tk.RaiseAccrualFloor()
-			sh.tk.ResetSkipped()
-		}
-	} else {
-		s.tk.RaiseAccrualFloor()
-	}
+	s.tk.RaiseAccrualFloor()
 	for _, c := range s.l1s {
 		c.ResetStats()
 	}
@@ -963,14 +867,7 @@ func (s *Simulator) stats() Stats {
 	if s.loads > 0 {
 		st.AvgLoadLatency = float64(s.loadLat) / float64(s.loads)
 	}
-	if s.shards != nil {
-		// The coordinator charges skips globally (per-cycle advances plus the
-		// quantum windows' visited-count formula); the shard kernels' own
-		// counters cover only shard-local advances and are not comparable.
-		st.SkippedCycles = s.skipped
-	} else {
-		st.SkippedCycles = s.skipped + s.tk.Skipped()
-	}
+	st.SkippedCycles = s.skipped + s.tk.Skipped()
 	st.SimEvents = s.events + st.Instructions
 	// Final registry refresh so the published totals match the Stats just
 	// computed from the same counters.

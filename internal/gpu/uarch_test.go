@@ -53,35 +53,6 @@ func TestEventLoopMatchesLegacyUarch(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequentialUarch extends the sharded determinism
-// contract to every variant: Shards=N (with and without quantum windows)
-// must reproduce the sequential run's Stats bit for bit.
-func TestShardedMatchesSequentialUarch(t *testing.T) {
-	for _, uc := range uarchTestVariants {
-		t.Run(uc.name, func(t *testing.T) {
-			cfg := testConfig(16)
-			cfg.Uarch = uc.v
-			run := func(opt Options) Stats {
-				t.Helper()
-				st, err := RunWithOptions(cfg, randomTrafficWorkload(32, 2, 25), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
-			seq := run(Options{})
-			for _, shards := range []int{2, 4} {
-				for _, quantum := range []int{0, 64} {
-					got := run(Options{Shards: shards, Quantum: quantum})
-					if got != seq {
-						t.Errorf("shards=%d quantum=%d diverges\nsharded    %+v\nsequential %+v", shards, quantum, got, seq)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestOptionsUarchThreading pins the Options.Uarch override semantics: it
 // applies when the config is silent, must not conflict with a non-zero
 // cfg.Uarch, and changes simulated timing (a variant is not a no-op).

@@ -26,8 +26,7 @@ func (h *Harness) runChiplet(cfg config.ChipletConfig, w trace.Workload) (Chiple
 	e := entryFor(&h.mu, h.chipletRuns, key)
 	e.once.Do(func() {
 		start := time.Now()
-		_, quantum := h.shardingRef()
-		sim, err := chiplet.New(cfg, w, chiplet.Options{Recorder: h.observerRef(), Shards: h.mcmShardsRef(), Quantum: quantum, Uarch: h.uarchRef()})
+		sim, err := chiplet.New(cfg, w, chiplet.Options{Recorder: h.observerRef(), Uarch: h.uarchRef()})
 		if err != nil {
 			e.err = fmt.Errorf("harness: MCM %s on %s: %w", w.Name(), cfg.Name, err)
 			return

@@ -34,14 +34,6 @@ func (h *Harness) SetObserver(rec *obs.Recorder) {
 	h.apply(WithObserver(rec))
 }
 
-// SetMCMShards sets the intra-simulation shard count for future MCM
-// simulations.
-//
-// Deprecated: configure at construction with New(WithMCMShards(n)).
-func (h *Harness) SetMCMShards(n int) {
-	h.apply(WithMCMShards(n))
-}
-
 // apply runs one option under the harness mutex, for the setters above —
 // unlike New, a setter may race with concurrent readers.
 func (h *Harness) apply(opt Option) {

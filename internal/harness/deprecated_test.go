@@ -24,15 +24,6 @@ func TestDeprecatedSettersMatchOptions(t *testing.T) {
 		}
 	}
 
-	// SetMCMShards ≡ WithMCMShards, including negative clamping.
-	for _, n := range []int{4, 0, -2} {
-		viaSet := New()
-		viaSet.SetMCMShards(n)
-		if got, want := viaSet.mcmShardsRef(), New(WithMCMShards(n)).mcmShardsRef(); got != want {
-			t.Errorf("SetMCMShards(%d) gave %d, WithMCMShards gave %d", n, got, want)
-		}
-	}
-
 	// SetObserver ≡ WithObserver (attach and detach).
 	rec := obs.New()
 	viaSet := New()

@@ -15,10 +15,9 @@
 // cache hits, so parallel and sequential execution produce identical
 // results. Construction-time functional options tune the behaviour:
 // WithParallel sizes (or disables) the fan-out, WithProgress attaches a
-// live progress callback, WithObserver an observability recorder,
-// WithShards/WithQuantum the intra-simulation sharding for every run and
-// WithMCMShards an MCM-specific shard override (the old Set* methods
-// remain as deprecated wrappers).
+// live progress callback, WithObserver an observability recorder and
+// WithUarch the microarchitecture variant (the old Set* methods remain as
+// deprecated wrappers).
 //
 // The package also provides ResultStore, a two-level (memory + disk)
 // single-flight byte store keyed by canonical request hashes; it backs the
@@ -89,18 +88,15 @@ type Harness struct {
 	chipletRuns map[string]*runEntry[ChipletTimedStats]
 	mrcs        map[string]*runEntry[mrc.Curve]
 
-	parallel  int
-	shards    int
-	quantum   int
-	mcmShards int
-	uarch     uarch.Variant
-	progress  func(engine.Progress)
-	observer  *obs.Recorder
+	parallel int
+	uarch    uarch.Variant
+	progress func(engine.Progress)
+	observer *obs.Recorder
 }
 
 // New returns an empty Harness configured by opts; the default is
-// parallelism runtime.NumCPU(), no progress callback, no observer, and
-// sequential MCM simulations. See options.go for the available options.
+// parallelism runtime.NumCPU(), no progress callback, no observer and the
+// baseline microarchitecture. See options.go for the available options.
 func New(opts ...Option) *Harness {
 	h := &Harness{
 		runs:        make(map[string]*runEntry[TimedStats]),
@@ -125,30 +121,11 @@ func (h *Harness) observerRef() *obs.Recorder {
 	return h.observer
 }
 
-// shardingRef snapshots the configured general shard count and barrier
-// quantum.
-func (h *Harness) shardingRef() (shards, quantum int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shards, h.quantum
-}
-
 // uarchRef snapshots the microarchitecture variant every run simulates.
 func (h *Harness) uarchRef() uarch.Variant {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.uarch
-}
-
-// mcmShardsRef snapshots the shard count MCM runs should use: the
-// MCM-specific override when set, else the general WithShards count.
-func (h *Harness) mcmShardsRef() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.mcmShards > 0 {
-		return h.mcmShards
-	}
-	return h.shards
 }
 
 // settings snapshots the parallelism configuration.
@@ -165,8 +142,7 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 	e := entryFor(&h.mu, h.runs, key)
 	e.once.Do(func() {
 		start := time.Now()
-		shards, quantum := h.shardingRef()
-		st, err := gpu.RunWithOptions(cfg, w, gpu.Options{Recorder: h.observerRef(), Shards: shards, Quantum: quantum, Uarch: h.uarchRef()})
+		st, err := gpu.RunWithOptions(cfg, w, gpu.Options{Recorder: h.observerRef(), Uarch: h.uarchRef()})
 		if err != nil {
 			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfg.Name, err)
 			return

@@ -137,7 +137,7 @@ func TestDeflectUncongestedMatchesCrossbar(t *testing.T) {
 	d := MustNewDeflect(cfg)
 	// Widely spaced transfers to distinct ports never contend. The deflect
 	// pipeline serializes bisection-then-port where the crossbar takes the
-	// max, so deflect runs at most one port-service quantum (here 1 cycle)
+	// max, so deflect runs at most one port-service time (here 1 cycle)
 	// behind — and never deflects.
 	for i := 0; i < 16; i++ {
 		now := int64(i * 100)

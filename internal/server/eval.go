@@ -5,8 +5,8 @@ package server
 // context; monolithic ones go through the intake (coalescing + bounded
 // pool), MCM ones call the facade directly. Determinism note: response
 // bodies are produced by json.Marshal over structs (fixed field order),
-// simulation statistics are bit-identical across worker counts and shard
-// counts, and the prediction pipeline is pure arithmetic — so one
+// simulation statistics are bit-identical across worker counts, and the
+// prediction pipeline is pure arithmetic — so one
 // canonical request always yields one byte string, which the store
 // replays verbatim.
 
@@ -35,8 +35,8 @@ func (s *Server) evaluate(ctx context.Context, req gpuscale.Request, hash string
 // EvalLocal evaluates one request in-process without an HTTP server — the
 // CLIs' "no daemon configured" path, sharing the daemon's evaluator (and
 // therefore its response format) exactly. workers bounds the simulation
-// pool; <= 0 means all CPUs. mcmShards sets the MCM shard count.
-func EvalLocal(ctx context.Context, req gpuscale.Request, workers, mcmShards int) ([]byte, string, error) {
+// pool; <= 0 means all CPUs.
+func EvalLocal(ctx context.Context, req gpuscale.Request, workers int) ([]byte, string, error) {
 	if req.Op == "" {
 		return nil, "", fmt.Errorf("server: request has no op")
 	}
@@ -64,7 +64,7 @@ func EvalLocal(ctx context.Context, req gpuscale.Request, workers, mcmShards int
 			}
 		}
 	}
-	s, err := New(Options{Workers: workers, MCMShards: mcmShards})
+	s, err := New(Options{Workers: workers})
 	if err != nil {
 		return nil, "", err
 	}
@@ -87,14 +87,7 @@ func (s *Server) evalSimulate(ctx context.Context, req gpuscale.Request, hash st
 	s.m.simsStart.Inc()
 	if tgt.MCM != nil {
 		resp.Config = tgt.MCM.Name
-		opts := tgt.Options
-		if s.opt.MCMShards > 0 {
-			// Server shard policy overrides the request's (results are
-			// bit-identical either way; Canonicalize already stripped
-			// shards from the cache key).
-			opts = append(opts, gpuscale.WithShards(s.opt.MCMShards))
-		}
-		st, err := gpuscale.SimulateMCMContext(ctx, *tgt.MCM, tgt.Workload, opts...)
+		st, err := gpuscale.SimulateMCMContext(ctx, *tgt.MCM, tgt.Workload, tgt.Options...)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +226,7 @@ func (s *Server) evalPredictMCM(ctx context.Context, req gpuscale.Request, hash 
 			return nil, err
 		}
 		s.m.simsStart.Inc()
-		st, err := gpuscale.SimulateMCMContext(ctx, cfg, w, gpuscale.WithShards(s.opt.MCMShards))
+		st, err := gpuscale.SimulateMCMContext(ctx, cfg, w)
 		if err != nil {
 			return nil, err
 		}

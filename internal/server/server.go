@@ -40,8 +40,10 @@ type Options struct {
 	// BatchLinger is the intake coalescing window for monolithic
 	// simulation jobs; <= 0 means 2ms.
 	BatchLinger time.Duration
-	// MCMShards is the shard count applied to every MCM simulation the
-	// server runs (results are bit-identical at every setting).
+	// MCMShards is ignored: simulations no longer shard. The field remains
+	// only so existing callers compile.
+	//
+	// Deprecated: Leave it unset; it has no effect.
 	MCMShards int
 	// MemoBytes caps the in-memory level of the response cache in bytes
 	// (strict LRU); <= 0 means 64 MiB. Evicted entries reload from

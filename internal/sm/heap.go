@@ -67,18 +67,6 @@ func (h *warpHeap) peek() (int, int64) {
 	return h.idx[0], h.key[0]
 }
 
-// fix rewrites the key of a warp already in the heap and restores heap
-// order — the deferred-wake repair path, cheaper than remove+push.
-func (h *warpHeap) fix(warpIdx int, key int64) {
-	p := h.pos[warpIdx]
-	if p < 0 {
-		panic("sm: warp not in heap")
-	}
-	h.key[p] = key
-	h.down(p)
-	h.up(p)
-}
-
 func (h *warpHeap) remove(warpIdx int) {
 	p := h.pos[warpIdx]
 	if p < 0 {

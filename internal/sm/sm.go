@@ -535,93 +535,9 @@ func (s *SM) Accrue(kind TickKind, weight uint64) {
 	}
 }
 
-// IssuingWarp returns the warp slot index of the instruction the current
-// Tick is issuing — valid inside a MemPort.Access callback, because Tick
-// records the greedy warp before touching memory. The sharded MCM run loop
-// uses it to tag a deferred memory access with the warp whose wake-up must
-// be repaired once the access's true completion cycle is known.
-func (s *SM) IssuingWarp() int { return s.current }
-
-// FixPendingWake rewrites a blocked warp's wake-up cycle in place — warp
-// state and the pending heap's ordering both. The sharded run loop parks a
-// deferred load's warp at a provisional far-future cycle during the
-// parallel tick phase and repairs it with the true completion cycle before
-// the next cycle's ticks; the warp must still be pending (it cannot have
-// been promoted: wake-ups are repaired before the cycle they could resolve
-// in). readyAt must be at least the repairing cycle, mirroring Tick's
-// next-cycle clamp on MemPort completions.
-func (s *SM) FixPendingWake(idx int, readyAt int64) {
-	s.warps[idx].readyAt = readyAt
-	s.pending.fix(idx, readyAt)
-}
-
 // HasReady reports whether a warp could issue (or retire) right now without
 // waiting for any pending dependency to resolve.
 func (s *SM) HasReady() bool { return s.currentReady || s.readyLen() > 0 }
-
-// memBoundCeil is MemEventBound's "never" value: no live warp can reach a
-// memory instruction or retirement. Far above any cycle a simulation visits.
-const memBoundCeil = int64(1) << 62
-
-// warpMemBound returns the earliest cycle at or after from at which warp idx
-// could issue its next memory instruction or retire: the warp issues its
-// first remaining instruction no earlier than max(readyAt, from), and each
-// of the leading compute instructions previewed by trace.MemLookahead
-// delays the first memory event (or the retirement attempt) by one
-// dependent-issue compute latency. Contention for the SM's single issue
-// slot only pushes the event later, so the bound is safe. Programs without
-// lookahead preview zero computes, collapsing the bound to the warp's next
-// issue opportunity.
-func (s *SM) warpMemBound(w *warp, from int64) int64 {
-	t := w.readyAt
-	if t < from {
-		t = from
-	}
-	if la, ok := w.prog.(trace.MemLookahead); ok {
-		return t + int64(la.ComputeRun())*s.computeLat
-	}
-	return t
-}
-
-// MemEventBound returns the earliest cycle at or after from at which any of
-// this SM's live warps could issue a memory instruction or retire —
-// equivalently, the first cycle this SM could next touch state outside
-// itself or change CTA residency. The quantum-relaxed sharded run loops
-// take the minimum over SMs to size a barrier-free window. Warps parked at
-// a provisional far-future wake-up (deferred loads awaiting barrier replay)
-// naturally report a far-future bound; the coordinator folds their true
-// bound in with WarpMemEventBound once the replay stamps completions.
-// Returns a far-future ceiling when the SM has no live warps.
-func (s *SM) MemEventBound(from int64) int64 {
-	bound := memBoundCeil
-	for i := range s.warps {
-		w := &s.warps[i]
-		if !w.live {
-			continue
-		}
-		if b := s.warpMemBound(w, from); b < bound {
-			bound = b
-			if bound <= from {
-				return bound // cannot get lower; a memory event is imminent
-			}
-		}
-	}
-	return bound
-}
-
-// WarpMemEventBound is warpMemBound for one warp with an explicit wake-up
-// cycle, used by the sharded coordinators to fold a just-replayed deferred
-// load (whose in-heap readyAt was provisional while the bound scan ran)
-// into the window bound: wake is the repaired completion cycle, after which
-// the warp still needs its previewed compute run before the next memory
-// event.
-func (s *SM) WarpMemEventBound(idx int, wake int64) int64 {
-	w := &s.warps[idx]
-	if la, ok := w.prog.(trace.MemLookahead); ok {
-		return wake + int64(la.ComputeRun())*s.computeLat
-	}
-	return wake
-}
 
 // StallKind returns the classification Tick would report for a cycle in
 // which this SM cannot act — no ready warp and no promotion due: Idle

@@ -255,68 +255,6 @@ func (m *recordingMem) Access(now int64, in trace.Instr) int64 {
 	return now + m.lat
 }
 
-// deferredMem mimics the sharded MCM run loop's memory port: a load gets a
-// far-future provisional completion (and the issuing warp is recorded via
-// IssuingWarp), and the true completion is applied with FixPendingWake
-// before the next cycle's tick.
-type deferredMem struct {
-	lat     int64
-	sm      *SM
-	warp    int
-	issued  int64
-	pending bool
-}
-
-func (m *deferredMem) Access(now int64, in trace.Instr) int64 {
-	if in.Kind == trace.Store {
-		return now + m.lat
-	}
-	m.warp = m.sm.IssuingWarp()
-	m.issued = now
-	m.pending = true
-	return 1 << 62
-}
-
-// TestDeferredWakeRepairMatchesImmediate drives the same warp mix through
-// the immediate port and through the defer-then-repair protocol; drain
-// time, statistics, and issue behaviour must be identical.
-func TestDeferredWakeRepairMatchesImmediate(t *testing.T) {
-	for _, lat := range []int64{1, 4, 37, 200} {
-		launch := func(s *SM) {
-			s.LaunchCTA([]trace.Program{loadProg(6), loadProg(4), computeProg(5)})
-		}
-		ref := MustNew(8, 2, 4)
-		launch(ref)
-		refCycles := run(t, ref, &fixedMem{lat: lat}, 1<<20)
-
-		s := MustNew(8, 2, 4)
-		launch(s)
-		m := &deferredMem{lat: lat, sm: s}
-		now := int64(0)
-		for s.LiveWarps() > 0 {
-			if now > 1<<20 {
-				t.Fatalf("lat %d: deferred SM did not drain", lat)
-			}
-			if m.pending {
-				m.pending = false
-				rdy := m.issued + m.lat
-				if rdy <= m.issued {
-					rdy = m.issued + 1
-				}
-				s.FixPendingWake(m.warp, rdy)
-			}
-			s.Accrue(s.Tick(now, m), 1)
-			now++
-		}
-		if now != refCycles {
-			t.Errorf("lat %d: deferred drain %d cycles, immediate %d", lat, now, refCycles)
-		}
-		if s.Stats() != ref.Stats() {
-			t.Errorf("lat %d: stats diverged:\ndeferred  %+v\nimmediate %+v", lat, s.Stats(), ref.Stats())
-		}
-	}
-}
-
 func TestDrainAlwaysTerminatesProperty(t *testing.T) {
 	// Property: any mix of small programs drains, and instruction counts
 	// add up.

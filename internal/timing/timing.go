@@ -55,32 +55,6 @@
 // AccrueTick batch. Driver methods must not call back into the Kernel
 // except CycleEnd, which may call RaiseAccrualFloor and ResetSkipped (the
 // warm-up reset path).
-//
-// # Phase API and barrier ordering
-//
-// Step is also exposed as its composable phases, which is how the sharded
-// MCM run loop (internal/chiplet with Options.Shards > 1, coordinated by
-// internal/parallel) drives one private Kernel per shard in lockstep:
-//
-//   - TickCycle drains the current cycle's due units (ascending unit id
-//     within each shard's kernel) and reports whether any unit issued.
-//   - FinishCycle runs the driver's CycleEnd hook and the AccrueTick batch.
-//   - NextPending exposes the earliest pending wake-up so a coordinator can
-//     take the minimum across kernels.
-//   - AdvanceTo moves the clock to the cycle the coordinator picked,
-//     charging the skipped-cycle counter exactly as Step would.
-//   - Reschedule and WakeAt let the coordinator repair a provisional
-//     wake-up between cycles (the sharded loop's deferred-memory fix-ups).
-//
-// The ordering rules a parallel coordinator must preserve for bit-identity
-// with sequential Step are: every kernel finishes TickCycle+FinishCycle for
-// cycle c before any cross-kernel effect of cycle c is applied (the cycle
-// barrier); cross-kernel effects are applied in ascending shard id, which —
-// because shards own contiguous unit-id ranges — is ascending global unit
-// id, the same order the sequential drain produces; and all kernels
-// AdvanceTo the same next cycle, computed as now+1 if any kernel's
-// TickCycle issued, else the minimum NextPending across kernels (clamped to
-// now+1). See docs/PARALLELISM.md for the full argument.
 package timing
 
 import (
@@ -175,7 +149,6 @@ type Kernel struct {
 	accrueAt   []int64 // unit → first cycle not yet classified
 	tickedID   []int   // scratch: units ticked this cycle
 	tickedKind []uint8
-	nTicked    int // ticked units recorded for the current cycle's FinishCycle
 }
 
 // New builds a Kernel over cfg.Units units driven by d.
@@ -273,24 +246,6 @@ func (k *Kernel) drop(unit int) {
 	k.wakeAt[unit] = NoWake
 }
 
-// Reschedule replaces a unit's pending wake-up (if any) with cycle c >= now.
-// A wake-up at now lands in the current cycle's drain, so calling this
-// before TickCycle makes the unit tick this very cycle. Unlike ScheduleNow
-// it does not settle the unit's accrual interval: the sharded run loop uses
-// it to repair a provisional wake-up between cycles, where the unit's stall
-// classification is unchanged and flushing here would diverge from the
-// sequential accounting. Must not be called from inside Step/TickCycle.
-func (k *Kernel) Reschedule(unit int, c int64) {
-	if k.wakeAt[unit] == c {
-		return
-	}
-	k.drop(unit)
-	k.wake(unit, c)
-}
-
-// WakeAt returns the unit's pending wake-up cycle, or NoWake if it is idle.
-func (k *Kernel) WakeAt(unit int) int64 { return k.wakeAt[unit] }
-
 // dropBusyIfEmpty clears the slot's occupancy bit when its bitset drained
 // to zero, so the skip scan cannot stop at a cycle with nothing due (which
 // would charge phantom per-cycle events and break bit-identity).
@@ -353,30 +308,8 @@ func (k *Kernel) RaiseAccrualFloor() {
 // Step visits the current cycle: it ticks every due unit in ascending id
 // order, runs the driver's cycle-end hook, classifies the ticked units'
 // cycle, and advances the clock — by one cycle if any unit issued (or
-// NoSkip is set), otherwise straight to the earliest pending wake-up. It is
-// exactly TickCycle + FinishCycle + the advance decision; a parallel
-// coordinator runs the same phases with barriers between them.
+// NoSkip is set), otherwise straight to the earliest pending wake-up.
 func (k *Kernel) Step() {
-	issued := k.TickCycle()
-	k.FinishCycle()
-	if issued || k.noSkip {
-		k.AdvanceTo(k.now + 1)
-		return
-	}
-	next := k.NextPending()
-	if next < k.now+1 {
-		next = k.now + 1 // NoWake, or a heap entry already due this cycle
-	}
-	k.AdvanceTo(next)
-}
-
-// TickCycle visits the current cycle's drain phase: it merges due heap
-// entries into the wheel and ticks every due unit in ascending id order,
-// recording each tick's classification for FinishCycle. It reports whether
-// any unit issued. A cycle with no due units is a valid no-op (TickCycle
-// reports false); the sharded run loop hits that when another shard owns
-// the cycle's only work.
-func (k *Kernel) TickCycle() bool {
 	now := k.now
 	slot := int(now & k.hmask)
 	base := slot * k.words
@@ -388,7 +321,7 @@ func (k *Kernel) TickCycle() bool {
 		k.wheel[base+u>>6] |= 1 << (uint(u) & 63)
 	}
 	issued := false
-	k.nTicked = 0
+	nTicked := 0
 	for w := 0; w < k.words; w++ {
 		idx := base + w
 		for k.wheel[idx] != 0 {
@@ -399,9 +332,9 @@ func (k *Kernel) TickCycle() bool {
 			k.flushAccrual(u)
 			out := k.d.TickUnit(now, u)
 			k.accrueAt[u] = now + 1
-			k.tickedID[k.nTicked] = u
-			k.tickedKind[k.nTicked] = out.Kind
-			k.nTicked++
+			k.tickedID[nTicked] = u
+			k.tickedKind[nTicked] = out.Kind
+			nTicked++
 			if out.Issued {
 				issued = true
 			}
@@ -411,29 +344,27 @@ func (k *Kernel) TickCycle() bool {
 		}
 	}
 	k.busy &^= 1 << uint(slot)
-	return issued
-}
-
-// FinishCycle completes the cycle TickCycle drained: it runs the driver's
-// CycleEnd hook, then classifies the ticked units' own cycle. Ticked units
-// are classified after CycleEnd because a warm-up reset there must land the
-// triggering cycle in the post-reset window, matching the dense reference
-// loops' ordering.
-func (k *Kernel) FinishCycle() {
-	k.d.CycleEnd(k.now)
-	for j := 0; j < k.nTicked; j++ {
+	// Ticked units are classified after CycleEnd because a warm-up reset
+	// there must land the triggering cycle in the post-reset window,
+	// matching the dense reference loops' ordering.
+	k.d.CycleEnd(now)
+	for j := 0; j < nTicked; j++ {
 		k.d.AccrueTick(k.tickedID[j], k.tickedKind[j])
 	}
-	k.nTicked = 0
+	next := now + 1
+	if !issued && !k.noSkip {
+		// NoWake (nothing pending) leaves the one-cycle advance in place.
+		if p := k.nextPending(); p > next {
+			next = p
+		}
+	}
+	k.skipped += next - now - 1
+	k.now = next
 }
 
-// NextPending returns the earliest pending wake-up cycle, or NoWake when no
-// unit has one. Called between FinishCycle and AdvanceTo it is the kernel's
-// event-skip candidate; a coordinator over several kernels takes the
-// minimum across them. The result can be at or before now when a heap entry
-// came due but the slot was not drained — callers clamp to now+1 exactly as
-// Step does.
-func (k *Kernel) NextPending() int64 {
+// nextPending returns the earliest pending wake-up cycle, or NoWake when no
+// unit has one — Step's event-skip candidate.
+func (k *Kernel) nextPending() int64 {
 	// The wheel's candidate comes from rotating the occupancy mask so the
 	// scan starts at now+1; the low horizon bits of r are the true rotation
 	// (garbage above them cannot win TrailingZeros64 when busy is non-zero).
@@ -449,55 +380,4 @@ func (k *Kernel) NextPending() int64 {
 		}
 	}
 	return next
-}
-
-// AdvanceTo moves the clock to cycle c > now, charging the cycles in
-// between to the skipped counter exactly as Step's event-skip does. All
-// kernels under one coordinator must AdvanceTo the same cycle, and c must
-// not be beyond any kernel's NextPending (the clock never skips past a
-// pending wake-up).
-func (k *Kernel) AdvanceTo(c int64) {
-	k.skipped += c - k.now - 1
-	k.now = c
-}
-
-// RunWindow runs the kernel's own Step loop locally over [Now(), limit) —
-// the quantum-relaxed sharded loops' barrier-free window. The coordinator
-// must have proven no cross-kernel interaction is possible before limit
-// (see docs/PARALLELISM.md for the bound); within that window each kernel's
-// advance decisions depend only on its own units, and the union of the
-// kernels' visited-cycle sets equals the sequential kernel's, which is what
-// keeps per-cycle event and skip accounting exact. Each visited cycle c is
-// marked in the visited bitmap at bit c-base (the caller sizes it for
-// limit-base bits and ORs the shards' maps together).
-//
-// Returns the kernel's advance candidate for the cycle after the window:
-// lastVisited+1 if the last visited cycle issued (or NoSkip holds), else
-// the kernel's NextPending — always >= limit — or NoWake when nothing is
-// pending. The coordinator takes the minimum across kernels, exactly the
-// barrier protocol's advance reduction.
-func (k *Kernel) RunWindow(limit, base int64, visited []uint64) int64 {
-	for {
-		now := k.now
-		issued := k.TickCycle()
-		k.FinishCycle()
-		off := now - base
-		visited[off>>6] |= 1 << (uint(off) & 63)
-		var next int64
-		if issued || k.noSkip {
-			next = now + 1
-		} else {
-			next = k.NextPending()
-			if next == NoWake {
-				return NoWake
-			}
-			if next < now+1 {
-				next = now + 1
-			}
-		}
-		if next >= limit {
-			return next
-		}
-		k.AdvanceTo(next)
-	}
 }

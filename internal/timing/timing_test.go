@@ -305,122 +305,6 @@ func TestScheduleNowReplacesPendingWake(t *testing.T) {
 	}
 }
 
-// runKernelPhases replays a script through the decomposed phase API the way
-// the sharded coordinator does — TickCycle, FinishCycle, then NextPending /
-// AdvanceTo with the caller making Step's advance decision — so any drift
-// between Step and its pieces fails the property test below.
-func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver, *Kernel) {
-	t.Helper()
-	d := newScriptDriver(script)
-	k := MustNew(Config{Units: len(script), Horizon: horizon}, d)
-	for u := range script {
-		k.ScheduleNow(u)
-	}
-	const maxSteps = 1 << 22
-	for i := 0; ; i++ {
-		if i > maxSteps {
-			t.Fatalf("phase kernel did not drain after %d steps (horizon %d)", maxSteps, horizon)
-		}
-		for _, u := range d.launches {
-			k.ScheduleNow(u)
-		}
-		d.launches = d.launches[:0]
-		if !k.Pending() {
-			break
-		}
-		issued := k.TickCycle()
-		k.FinishCycle()
-		next := k.NextPending()
-		if issued || next < k.Now()+1 {
-			next = k.Now() + 1
-		}
-		k.AdvanceTo(next)
-	}
-	return d, k
-}
-
-// TestPhaseAPIMatchesStep is the decomposition property test: driving the
-// kernel through TickCycle/FinishCycle/NextPending/AdvanceTo must reproduce
-// Step's tick sequence, final cycle, accrual totals and skip accounting on
-// arbitrary schedules.
-func TestPhaseAPIMatchesStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xfa5e))
-	for _, horizon := range []int{1, 8, 64} {
-		for _, n := range []int{1, 7, 70} {
-			for trial := 0; trial < 4; trial++ {
-				h64 := int64(horizon)
-				script := make([][]step, n)
-				for u := range script {
-					steps := 4 + rng.Intn(20)
-					for j := 0; j < steps; j++ {
-						st := step{issued: rng.Intn(2) == 0, delta: 1 + rng.Int63n(3*h64)}
-						if rng.Intn(10) == 0 {
-							st.delta = 0
-						}
-						if rng.Intn(12) == 0 {
-							st.launch = []int{rng.Intn(n)}
-							st.issued = true
-						}
-						script[u] = append(script[u], st)
-					}
-				}
-				wantTicks, wantNow, _ := runReference(cloneScript(script))
-				d, k := runKernelPhases(t, cloneScript(script), horizon)
-				compareRuns(t, d, k, wantTicks, wantNow)
-			}
-		}
-	}
-}
-
-// TestRescheduleReplacesPendingWake pins the between-cycles repair path the
-// sharded loop's deferred-memory fix-ups use: Reschedule must replace a
-// pending wake wherever it lives (wheel or heap), revive an idle unit, be
-// drainable at the current cycle, and leave WakeAt telling the truth.
-func TestRescheduleReplacesPendingWake(t *testing.T) {
-	for _, horizon := range []int{1, 8, 64} {
-		for _, staleDelta := range []int64{5, 100} { // wheel entry, heap entry
-			// The seed tick issues so Step advances to cycle 1 instead of
-			// event-skipping straight to the stale wake.
-			d := newScriptDriver([][]step{{{delta: staleDelta, issued: true}}})
-			k := MustNew(Config{Units: 1, Horizon: horizon}, d)
-			k.ScheduleNow(0)
-			k.Step() // ticks at 0, re-arms at staleDelta
-			if got := k.WakeAt(0); got != staleDelta {
-				t.Fatalf("horizon %d: WakeAt after tick = %d, want %d", horizon, got, staleDelta)
-			}
-			// Replace the stale entry with a nearer wake; the stale one must
-			// neither tick nor stop the skip scan.
-			k.Reschedule(0, 3)
-			if got := k.WakeAt(0); got != 3 {
-				t.Fatalf("horizon %d: WakeAt after Reschedule = %d, want 3", horizon, got)
-			}
-			for k.Pending() {
-				k.Step()
-			}
-			wantTicks := []tick{{0, 0}, {3, 0}}
-			if len(d.ticks) != len(wantTicks) || d.ticks[1] != wantTicks[1] {
-				t.Fatalf("horizon %d staleDelta %d: ticks %v, want %v", horizon, staleDelta, d.ticks, wantTicks)
-			}
-			if k.Pending() {
-				t.Fatalf("horizon %d staleDelta %d: stale wake survived Reschedule", horizon, staleDelta)
-			}
-			// Reschedule from idle revives the unit (WakeAt == NoWake first).
-			if k.WakeAt(0) != NoWake {
-				t.Fatalf("unit not idle after drain")
-			}
-			k.Reschedule(0, k.Now())
-			if issued := k.TickCycle(); issued {
-				t.Fatalf("scripted unit issued unexpectedly")
-			}
-			k.FinishCycle()
-			if len(d.ticks) != 3 || d.ticks[2].cycle != k.Now() {
-				t.Fatalf("Reschedule at now did not tick this cycle: ticks %v, now %d", d.ticks, k.Now())
-			}
-			k.AdvanceTo(k.Now() + 1)
-		}
-	}
-}
-
 // TestConfigValidation covers the constructor's error paths.
 func TestConfigValidation(t *testing.T) {
 	d := newScriptDriver([][]step{{}})

@@ -1,8 +1,8 @@
 // Package uarch defines microarchitecture variant configuration: the warp
 // scheduling policy, L1 organisation, NoC routing discipline and SM issue
 // width that a simulation models. A Variant is a first-class, result-relevant
-// input — unlike host-side execution options (shards, barrier quantum,
-// serving tier), changing any of its fields changes simulated statistics, so
+// input — unlike host-side execution options (worker count, serving
+// tier), changing any of its fields changes simulated statistics, so
 // the canonical wire request keeps it in the cache-key hash (see
 // docs/UARCH.md for the matrix, wire spelling and hash semantics).
 //

@@ -12,10 +12,9 @@ package gpuscale
 // canonical hash fully determines its response bytes. Canonicalize
 // therefore (1) validates, (2) normalises — fills in the current schema
 // version and strips fields that cannot change the result, such as the
-// shard count and barrier quantum, which only change host wall-clock time
-// — and (3) marshals
-// the normalised struct with encoding/json, whose field order is fixed by
-// the struct definition. Two requests that differ only in JSON field
+// latency tier and the ignored shard count and barrier quantum — and (3)
+// marshals the normalised struct with encoding/json, whose field order is
+// fixed by the struct definition. Two requests that differ only in JSON field
 // order, schema-version spelling (0 vs 1) or result-invariant options hash
 // identically and share one cached response.
 
@@ -116,8 +115,8 @@ const DefaultConfidenceThreshold = 0.5
 
 // RequestOptions tunes a simulate request. MaxCycles and
 // WarmupInstructions change the reported statistics, so they are part of
-// the canonical form; Shards and Quantum only change how the host computes
-// the bit-identical result, so Canonicalize strips them.
+// the canonical form; Shards and Quantum are accepted and ignored, so
+// Canonicalize strips them.
 type RequestOptions struct {
 	// MaxCycles aborts the simulation with an error beyond this many
 	// cycles; zero means no limit. Simulate only.
@@ -125,15 +124,13 @@ type RequestOptions struct {
 	// WarmupInstructions discards pre-warm-up statistics; monolithic
 	// simulate only.
 	WarmupInstructions uint64 `json:"warmup_instructions,omitempty"`
-	// Shards is the intra-simulation shard count (SM groups on a
-	// monolithic target, chiplet groups on an MCM). Results are
-	// bit-identical at every setting (docs/PARALLELISM.md), so this field
-	// is excluded from the canonical form; servers choose their own shard
-	// count.
+	// Shards was the intra-simulation shard count. Simulations no longer
+	// shard, so the field is validated (non-negative), never passed to the
+	// simulator, and stripped from the canonical form. It stays decodable
+	// for this schema version only.
 	Shards int `json:"shards,omitempty"`
-	// Quantum relaxes the sharded run's barrier cadence (cycles per safe
-	// window). Like Shards it cannot change the result, only host
-	// wall-clock time, so it too is stripped from the canonical form.
+	// Quantum was the sharded run's barrier cadence; accepted and ignored
+	// exactly like Shards.
 	Quantum int `json:"quantum,omitempty"`
 	// Tier selects the latency tier for predict requests: TierCycle
 	// (default), TierAnalytic or TierAuto. The tier routes the request —
@@ -320,8 +317,7 @@ func AnalyticCacheKey(hash string) string {
 
 // SimTarget is a simulate request resolved into runnable form: exactly one
 // of System and MCM is non-nil, Workload is instantiated for the target's
-// size, and Options carries the request's simulation options (shard count
-// included — strip or override it server-side as policy dictates).
+// size, and Options carries the request's simulation options.
 type SimTarget struct {
 	// System is the monolithic configuration (nil for MCM requests).
 	System *SystemConfig
@@ -362,12 +358,6 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 		if err != nil {
 			return SimTarget{}, err
 		}
-		if r.Options.Shards > 0 {
-			opts = append(opts, WithShards(r.Options.Shards))
-		}
-		if r.Options.Quantum > 0 {
-			opts = append(opts, WithQuantum(r.Options.Quantum))
-		}
 		return SimTarget{MCM: &cfg, Workload: w, Options: opts}, nil
 	}
 	cfg, err := Scale(Baseline128(), r.Target.SMs)
@@ -380,12 +370,6 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 	}
 	if r.Options.WarmupInstructions > 0 {
 		opts = append(opts, WithWarmupInstructions(r.Options.WarmupInstructions))
-	}
-	if r.Options.Shards > 0 {
-		opts = append(opts, WithShards(r.Options.Shards))
-	}
-	if r.Options.Quantum > 0 {
-		opts = append(opts, WithQuantum(r.Options.Quantum))
 	}
 	return SimTarget{System: &cfg, Workload: w, Options: opts}, nil
 }

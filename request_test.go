@@ -164,12 +164,11 @@ func TestCanonicalizeEquivalences(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeStripsShardingOptions pins the daemon cache-key
-// stability contract for the monolithic simulator's sharding knobs: a
-// simulate request with any combination of shards and quantum set must
-// canonicalise to the same bytes and hash as one with neither, because
-// both options are bit-identity-preserving host execution strategy
-// (docs/PARALLELISM.md) and must never fragment the cache key space.
+// TestCanonicalizeStripsShardingOptions pins the wire contract for the
+// retired sharding knobs: a simulate request with any combination of
+// shards and quantum set must canonicalise to the same bytes and hash as
+// one with neither, and must resolve to the same simulation options, so a
+// client can neither fragment the cache key space nor slow its own run.
 func TestCanonicalizeStripsShardingOptions(t *testing.T) {
 	base := simRequest() // monolithic: target.sms = 8
 	canon, hash, err := gpuscale.Canonicalize(base)
@@ -202,21 +201,31 @@ func TestCanonicalizeStripsShardingOptions(t *testing.T) {
 		}
 	}
 
-	// The stripped options still reach the simulator via ResolveSimulation
-	// (server policy may override them, but the request's spelling works).
-	r := base
-	r.Options.Shards = 4
-	r.Options.Quantum = 256
-	tgt, err := r.ResolveSimulation()
-	if err != nil {
-		t.Fatal(err)
+	// The fields are ignored, not forwarded: on both simulators a request
+	// carrying them resolves to exactly the options of one without them.
+	resolve := func(r gpuscale.Request) gpuscale.SimOptions {
+		t.Helper()
+		tgt, err := r.ResolveSimulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o gpuscale.SimOptions
+		for _, fn := range tgt.Options {
+			fn(&o)
+		}
+		return o
 	}
-	var o gpuscale.SimOptions
-	for _, fn := range tgt.Options {
-		fn(&o)
-	}
-	if o.Shards != 4 || o.Quantum != 256 {
-		t.Errorf("resolved options %+v, want Shards=4 Quantum=256", o)
+	mcm := base
+	mcm.Target = gpuscale.TargetSpec{Chiplets: 2}
+	for _, plain := range []gpuscale.Request{base, mcm} {
+		// One real option, so the comparison is not between two empty sets.
+		plain.Options.MaxCycles = 1 << 30
+		r := plain
+		r.Options.Shards = 16
+		r.Options.Quantum = 4096
+		if got, want := resolve(r), resolve(plain); got != want {
+			t.Errorf("%+v: shards=16 quantum=4096 resolved to %+v, want %+v", plain.Target, got, want)
+		}
 	}
 }
 
@@ -332,8 +341,8 @@ func TestResolveSimulation(t *testing.T) {
 	if mt.MCM.NumChiplets != 4 {
 		t.Errorf("NumChiplets = %d", mt.MCM.NumChiplets)
 	}
-	if len(mt.Options) != 1 {
-		t.Errorf("%d options, want 1 (shards)", len(mt.Options))
+	if len(mt.Options) != 0 {
+		t.Errorf("%d options, want 0 (shards is ignored)", len(mt.Options))
 	}
 
 	// Non-simulate ops refuse to resolve.
